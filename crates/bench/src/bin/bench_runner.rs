@@ -10,8 +10,9 @@
 //!   message (ping, 16-link reconcile, routed envelope);
 //! * `churn` — fig10-style scripted crash/restart load on the wheel kernel
 //!   (stakes the unboxed scripted-call path);
-//! * `route_oracle` — the demand-driven route oracle: build time, LRU
-//!   hit/miss latency (MAD-filtered medians) and resident route memory, at
+//! * `route_oracle` — the attachment-indexed route oracle: build time,
+//!   hit/first-touch-miss latency (MAD-filtered medians) and resident route
+//!   memory, at
 //!   a fixed default-size topology (gated) and, at paper scale, the
 //!   ~100k-router Mercator preset (reported);
 //! * `sharded_kernel` — `ShardedSim` scaling at 1/2/4/8 shards on a
@@ -204,7 +205,7 @@ fn main() {
             "  \"description\": \"Staked hot paths: kernel event throughput (wheel vs heap), ",
             "single-pass wire codec (ns/allocs per encoded message), SHA-1 piggyback digest ",
             "(GiB/s, three implementations), fig10-style scripted churn, the ",
-            "demand-driven route oracle (LRU hit/miss latency, resident route memory), ",
+            "attachment-indexed route oracle (hit/first-touch miss latency, resident route memory), ",
             "the sharded kernel's scaling sweep (measured + critical-path-projected ",
             "events/s at 1/2/4/8 shards), and the shared liveness plane (registry ",
             "subscribe/fanout cost, SWIM probe rounds, group-invariant probe traffic)\",\n",

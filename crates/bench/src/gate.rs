@@ -161,9 +161,10 @@ pub const GATED: &[Metric] = &[
     m("churn.ns_per_event", Direction::HigherIsWorse, 40.0),
     // Route oracle, measured on the *fixed* default-size topology at both
     // scales (the `mercator` subsection is paper-scale-only and therefore
-    // reported, not gated). Hit is a hash lookup + LRU splice (gated with
-    // a small absolute slack for shared-runner jitter on a ~25 ns metric);
-    // miss is eviction + a full Dijkstra over ~3.4k routers. Both are
+    // reported, not gated). Hit is two column lookups and a row load
+    // (gated with a small absolute slack for shared-runner jitter on a
+    // ~25 ns metric); miss is a first touch: a full Dijkstra over ~3.4k
+    // routers plus the projection onto the columns. Both are
     // MAD-filtered medians, so a lone preempted sample cannot trip the
     // gate. The zero-allocation hit path gets the same absolute-slack
     // treatment as the encode metrics.

@@ -1,6 +1,6 @@
 //! Route-oracle benchmarks: build time, resident route memory, and
-//! hit/miss query latency of the demand-driven `RouteOracle` that replaced
-//! the eager all-destinations table (PR 4).
+//! hit/miss query latency of the attachment-indexed `RouteOracle` that
+//! replaced the eager all-destinations table.
 //!
 //! Two measurement sets feed the `route_oracle` section of the
 //! `BENCH_*.json` stakes:
@@ -10,8 +10,8 @@
 //!   are the gated metrics.
 //! * `mercator` — the ~100k-router [`TopologyConfig::mercator_scale`]
 //!   preset, paper scale only (reported, not gated): the headline numbers
-//!   showing bounded route memory where the eager table would hold
-//!   gigabytes.
+//!   showing route memory set by the attachments, not the router count,
+//!   where the eager table would hold gigabytes.
 //!
 //! Query latencies are medians after the vendored criterion stub's
 //! median-absolute-deviation outlier rejection ([`criterion::mad_filter`])
@@ -20,6 +20,7 @@
 
 use criterion::mad_filter;
 use fuse_net::{RouteOracle, Topology, TopologyConfig};
+use fuse_sim::ProcId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,25 +35,26 @@ pub struct RoutePoint {
     pub routers: usize,
     /// Links in the generated topology.
     pub links: usize,
-    /// Topology generation + oracle construction, milliseconds (the eager
-    /// design paid one Dijkstra per attachment here; the oracle pays none).
+    /// Topology generation, attachment sampling and oracle construction,
+    /// milliseconds (the eager design paid one Dijkstra per attachment
+    /// here; the oracle pays none).
     pub build_ms: f64,
-    /// MAD-filtered median nanoseconds per LRU-hit query.
+    /// MAD-filtered median nanoseconds per hit (a query out of a filled
+    /// row).
     pub hit_ns: f64,
     /// Allocator calls per hit query (`None` without the counting
     /// allocator); 0 is the acceptance bar.
     pub hit_allocs: Option<f64>,
-    /// MAD-filtered median nanoseconds per miss (eviction + Dijkstra +
-    /// row pack — the worst case the LRU can produce).
+    /// MAD-filtered median nanoseconds per first-touch miss (Dijkstra plus
+    /// projection onto the columns, on a fresh oracle).
     pub miss_ns: f64,
-    /// Bytes resident in the oracle after the measurement (rows + slots).
+    /// Bytes resident in the oracle once every source has sent
+    /// (`sources² × 8`).
     pub resident_bytes: usize,
     /// What the eager table would hold for the same source set
     /// (`sources × routers × 16` bytes).
     pub eager_equiv_bytes: usize,
-    /// LRU capacity in rows.
-    pub lru_rows: usize,
-    /// Distinct attachment routers queried.
+    /// Distinct attachment routers: the oracle's columns.
     pub sources: usize,
 }
 
@@ -61,25 +63,24 @@ const HITS_PER_SAMPLE: usize = 4 * 1024;
 /// Samples per repetition (the MAD filter needs a population).
 const SAMPLES_PER_REP: usize = 11;
 
-/// Measures one topology/capacity configuration.
+/// Measures one topology with `n_procs` attached processes.
 fn measure(
     name: &'static str,
     cfg: &TopologyConfig,
-    n_sources: usize,
-    cap: usize,
+    n_procs: usize,
     reps: u32,
     misses_per_sample: usize,
 ) -> RoutePoint {
     let mut rng = StdRng::seed_from_u64(0xF0D0);
     let t0 = std::time::Instant::now();
     let topo = Topology::generate(cfg, &mut rng);
-    let oracle = RouteOracle::new(cap);
+    let attach = topo.sample_attachments(n_procs, &mut rng);
+    let oracle = RouteOracle::new(&topo, &attach);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let attach = topo.sample_attachments(n_sources, &mut rng);
+    let procs = attach.len() as ProcId;
 
-    // --- Hit latency: two resident rows, alternating sources, so every
-    // query is a hit that also pays the LRU splice (head swap).
-    let (s0, s1, dst) = (attach[0], attach[1], attach[2]);
+    // --- Hit latency: two filled rows, alternating sources.
+    let (s0, s1, dst) = (0, 1, 2);
     oracle.route(&topo, s0, dst);
     oracle.route(&topo, s1, dst);
     let mut hit_samples = Vec::with_capacity(SAMPLES_PER_REP * reps as usize);
@@ -106,60 +107,37 @@ fn measure(
     mad_filter(&mut hit_samples);
     let hit_ns = hit_samples[hit_samples.len() / 2];
 
-    // --- Miss latency: round-robin over cap + 1 distinct sources — the
-    // LRU's adversarial worst case, where the next source is always the
-    // one just evicted, so every query pays eviction + Dijkstra. The
-    // rotation must exclude the destination (a same-router query bypasses
-    // the LRU and would shrink the working set to exactly `cap`, turning
-    // every "miss" into a hit) and the two sources the hit phase left
-    // resident (their first rotation queries would be hits polluting the
-    // timed samples).
-    let miss_dst = attach[cap + 2];
-    let rotation: Vec<_> = attach
-        .iter()
-        .copied()
-        .skip(3)
-        .filter(|&r| r != miss_dst)
-        .take(cap + 1)
+    // --- Miss latency: first touches on a fresh oracle per sample, from
+    // distinct sources not co-located with the destination (a co-located
+    // query is a LAN hop that fills no row).
+    let miss_dst = procs - 1;
+    let sources: Vec<ProcId> = (0..procs - 1)
+        .filter(|&p| attach[p as usize] != attach[miss_dst as usize])
+        .take(misses_per_sample)
         .collect();
-    assert_eq!(rotation.len(), cap + 1, "not enough sources for cap {cap}");
-    let mut next = 0usize;
+    assert_eq!(sources.len(), misses_per_sample, "not enough sources");
     let mut miss_samples = Vec::with_capacity(SAMPLES_PER_REP * reps as usize);
     for _ in 0..reps {
         for _ in 0..SAMPLES_PER_REP {
+            let fresh = RouteOracle::new(&topo, &attach);
             let t0 = std::time::Instant::now();
             let mut acc = 0u64;
-            for _ in 0..misses_per_sample {
-                let src = rotation[next % rotation.len()];
-                next += 1;
-                acc ^= oracle.route(&topo, src, miss_dst).latency.nanos();
+            for &src in &sources {
+                acc ^= fresh.route(&topo, src, miss_dst).latency.nanos();
             }
             std::hint::black_box(acc);
             miss_samples.push(t0.elapsed().as_nanos() as f64 / misses_per_sample as f64);
+            debug_assert_eq!(fresh.stats().misses, misses_per_sample as u64);
         }
     }
     mad_filter(&mut miss_samples);
     let miss_ns = miss_samples[miss_samples.len() / 2];
-    // Every rotation query past the initial fill must have evicted.
-    let miss_queries = reps as usize * SAMPLES_PER_REP * misses_per_sample;
-    debug_assert!(
-        oracle.stats().evictions as usize >= miss_queries.saturating_sub(cap + 1),
-        "miss loop did not actually evict: {:?}",
-        oracle.stats()
-    );
 
-    // --- Occupancy: touch every source once so the LRU is saturated, then
-    // read what stayed resident.
-    for &src in &attach {
-        oracle.route(&topo, src, dst);
+    // --- Occupancy: every process sends once, filling every row.
+    for src in 0..procs {
+        oracle.route(&topo, src, (src + 1) % procs);
     }
     let stats = oracle.stats();
-    let distinct = {
-        let mut srcs = attach.clone();
-        srcs.sort_unstable();
-        srcs.dedup();
-        srcs.len()
-    };
 
     RoutePoint {
         name,
@@ -170,29 +148,20 @@ fn measure(
         hit_allocs,
         miss_ns,
         resident_bytes: stats.resident_bytes,
-        eager_equiv_bytes: distinct * topo.n_routers() * 16,
-        lru_rows: cap,
-        sources: distinct,
+        eager_equiv_bytes: oracle.columns() * topo.n_routers() * 16,
+        sources: oracle.columns(),
     }
 }
 
 /// Runs the suite: the gateable fixed-size point always, the Mercator
 /// point only at paper scale.
 pub fn suite(reps: u32, quick: bool) -> Vec<RoutePoint> {
-    let mut out = vec![measure(
-        "fixed",
-        &TopologyConfig::default(),
-        400,
-        64,
-        reps,
-        8,
-    )];
+    let mut out = vec![measure("fixed", &TopologyConfig::default(), 400, reps, 8)];
     if !quick {
         out.push(measure(
             "mercator",
             &TopologyConfig::mercator_scale(),
             500,
-            64,
             reps.min(2),
             2,
         ));
@@ -211,7 +180,6 @@ pub fn render_json(points: &[RoutePoint]) -> String {
                 "      \"routers\": {},\n",
                 "      \"links\": {},\n",
                 "      \"sources\": {},\n",
-                "      \"lru_rows\": {},\n",
                 "      \"build_ms\": {},\n",
                 "      \"hit_ns\": {},\n",
                 "      \"hit_allocs\": {},\n",
@@ -224,7 +192,6 @@ pub fn render_json(points: &[RoutePoint]) -> String {
             p.routers,
             p.links,
             p.sources,
-            p.lru_rows,
             json_f64(p.build_ms),
             json_f64(p.hit_ns),
             p.hit_allocs
@@ -256,7 +223,6 @@ mod tests {
                 ..TopologyConfig::default()
             },
             16,
-            4,
             1,
             2,
         );
@@ -267,10 +233,10 @@ mod tests {
              than an order of magnitude means the rotation is not actually \
              missing: {p:?}"
         );
-        let row = p.routers * 8;
-        assert!(
-            p.resident_bytes <= 4 * row + 8 * 64,
-            "resident bytes exceed cap: {p:?}"
+        assert_eq!(
+            p.resident_bytes,
+            p.sources * p.sources * 8,
+            "every row filled, one word per column: {p:?}"
         );
         assert!(p.eager_equiv_bytes >= 16 * p.routers * 16 / 2);
     }
@@ -282,12 +248,11 @@ mod tests {
             routers: 3000,
             links: 5000,
             sources: 400,
-            lru_rows: 64,
             build_ms: 12.0,
             hit_ns: 25.0,
             hit_allocs: Some(0.0),
             miss_ns: 90_000.0,
-            resident_bytes: 64 * 3000 * 8,
+            resident_bytes: 400 * 400 * 8,
             eager_equiv_bytes: 400 * 3000 * 16,
         };
         let doc = format!("{{\n  \"route_oracle\": {}\n}}", render_json(&[p]));

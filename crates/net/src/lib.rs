@@ -15,8 +15,9 @@
 //!   including the [`TopologyConfig::mercator_scale`] preset that reaches
 //!   the paper's ~100k routers,
 //! * [`routes`] — lexicographic `(hops, latency)` shortest paths behind the
-//!   demand-driven [`RouteOracle`] (lazy per-source Dijkstra, bounded LRU
-//!   of bit-packed rows) plus the preserved eager [`RouteTable`],
+//!   attachment-indexed [`RouteOracle`] (one Dijkstra per source
+//!   attachment, rows of bit-packed words over the attachment columns)
+//!   plus the preserved eager [`RouteTable`],
 //! * [`tcp`] — an analytic TCP model (connection cache, retransmission
 //!   backoff, connection breakage under loss),
 //! * [`fault`] — scriptable failures: crashes, disconnects, intransitive
@@ -24,7 +25,7 @@
 //! * [`network`] — the [`fuse_sim::Medium`] implementation combining them,
 //!   with `Simulator` and `Cluster` (ModelNet-like) emulation profiles.
 //!
-//! # Example: generate a topology, build an oracle, query a route
+//! # Example: generate a topology, attach processes, query a route
 //!
 //! ```
 //! use fuse_net::{RouteOracle, Topology, TopologyConfig};
@@ -34,17 +35,20 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let topo = Topology::generate(&TopologyConfig::default(), &mut rng);
 //!
-//! // 8 resident rows bound route memory to 8 × n_routers × 8 bytes no
-//! // matter how many sources are queried; rows appear on first use.
-//! let oracle = RouteOracle::new(8);
-//! let (a, b) = (topo.attachable[0], topo.attachable[1]);
-//! let route = oracle.route(&topo, a, b);
+//! // Four processes on random access routers: one column per distinct
+//! // router. Rows appear on a source's first query, one Dijkstra each.
+//! let attach = topo.sample_attachments(4, &mut rng);
+//! let oracle = RouteOracle::new(&topo, &attach);
+//! let route = oracle.route(&topo, 0, 1);
 //! assert!(route.hops >= 1);
 //! assert!(route.delivery_prob(0.0) == 1.0);
 //!
-//! // The same query again is an LRU hit with an identical answer.
-//! assert_eq!(route, oracle.route(&topo, a, b));
-//! assert_eq!(oracle.stats().hits, 1);
+//! // The same query again is a hit on the filled row, identical answer.
+//! assert_eq!(route, oracle.route(&topo, 0, 1));
+//! let stats = oracle.stats();
+//! assert_eq!((stats.hits, stats.misses), (1, 1));
+//! // Route memory is filled rows × columns × 8 bytes.
+//! assert_eq!(stats.resident_bytes, oracle.columns() * 8);
 //! ```
 //!
 //! For full-stack use, [`Network::generate`] wires a topology, random

@@ -19,10 +19,10 @@ use rand::Rng;
 
 use fuse_obs::{Aggregates, Event, ObsSink, Recorder};
 use fuse_sim::{Medium, ProcBitSet, ProcId, SimDuration, SimTime, Verdict};
-use fuse_util::{DetHashMap, DetHashSet};
+use fuse_util::DetHashSet;
 
 use crate::fault::FaultPlane;
-use crate::routes::{OracleStats, RouteInfo, RouteOracle};
+use crate::routes::{OracleStats, RouteInfo, RouteOracle, MAX_ROUTE_HOPS};
 use crate::tcp::{TcpConfig, TcpModel, TcpOutcome};
 use crate::topology::{RouterId, Topology};
 
@@ -66,6 +66,10 @@ impl EmulationProfile {
 }
 
 /// Network configuration.
+///
+/// Routing has no knob: the [`RouteOracle`] holds one row per sending
+/// attachment router, `filled rows × attachments × 8` bytes (DESIGN.md
+/// §5.4).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Emulation profile (simulator vs cluster).
@@ -76,12 +80,6 @@ pub struct NetConfig {
     pub tcp: TcpConfig,
     /// Uniform jitter added to each delivery, for tie spreading.
     pub max_jitter: SimDuration,
-    /// Maximum source rows the demand-driven [`RouteOracle`] keeps
-    /// resident (each row is `n_routers × 8` bytes). 64 rows bound route
-    /// memory to ~51 MB even at the ~100k-router Mercator preset, while
-    /// the per-pair latency/loss cache above keeps steady-state traffic
-    /// off the oracle entirely.
-    pub route_lru_rows: usize,
 }
 
 impl Default for NetConfig {
@@ -91,7 +89,6 @@ impl Default for NetConfig {
             per_link_loss: 0.0,
             tcp: TcpConfig::default(),
             max_jitter: SimDuration::from_micros(500),
-            route_lru_rows: 64,
         }
     }
 }
@@ -111,20 +108,6 @@ impl NetConfig {
     }
 }
 
-/// Per-pair data [`Network::unicast`] needs on every send, cached so the
-/// steady-state hot path (the same group edges pinged every period) does not
-/// recompute route lookups and the `(1-p)^hops` power each time.
-#[derive(Debug, Clone, Copy)]
-struct CachedRoute {
-    latency: SimDuration,
-    rtt: SimDuration,
-    /// Round-trip delivery probability (data + ACK) at the loss rate of
-    /// `epoch`.
-    p_success: f64,
-    /// Loss-rate epoch this entry was computed under.
-    epoch: u32,
-}
-
 /// The wide-area messaging layer (a [`Medium`] implementation).
 pub struct Network {
     topo: Topology,
@@ -142,20 +125,19 @@ pub struct Network {
     /// accounting (offered and delivered, total and per message class) all
     /// live in its aggregates; the counter accessors below are views.
     obs: Recorder,
-    /// Lazy per-ordered-pair cache keyed `(from << 32) | to`; invalidated
-    /// wholesale by bumping `loss_epoch` (see [`Network::set_per_link_loss`]).
-    route_cache: DetHashMap<u64, CachedRoute>,
-    loss_epoch: u32,
+    /// Round-trip (data + ACK) delivery probability of a route, indexed by
+    /// its hop count, at the current per-link loss rate.
+    rt_success: Vec<f64>,
 }
 
 impl Network {
     /// Builds a network over `topo` with process `i` attached to
-    /// `attach[i]`. Construction is O(1) in topology size: routes are
-    /// computed on demand by the [`RouteOracle`], not precomputed per
-    /// source.
+    /// `attach[i]`. No route is computed here: the [`RouteOracle`] fills a
+    /// source attachment's row on its first send.
     pub fn new(topo: Topology, attach: Vec<RouterId>, cfg: NetConfig) -> Self {
-        let routes = RouteOracle::new(cfg.route_lru_rows);
+        let routes = RouteOracle::new(&topo, &attach);
         let tcp = TcpModel::new(cfg.tcp.clone());
+        let rt_success = round_trip_success(cfg.per_link_loss);
         Network {
             topo,
             routes,
@@ -166,8 +148,7 @@ impl Network {
             down: ProcBitSet::default(),
             conns: DetHashSet::default(),
             obs: Recorder::new(),
-            route_cache: DetHashMap::default(),
-            loss_epoch: 0,
+            rt_success,
         }
     }
 
@@ -203,14 +184,13 @@ impl Network {
         self.attach.len()
     }
 
-    /// Route summary between two processes (computed on demand and cached
-    /// in the oracle's LRU).
+    /// Route summary between two processes (filling `a`'s row of the route
+    /// matrix on its first query).
     pub fn route_info(&self, a: ProcId, b: ProcId) -> RouteInfo {
-        self.routes
-            .route(&self.topo, self.attach[a as usize], self.attach[b as usize])
+        self.routes.route(&self.topo, a, b)
     }
 
-    /// Hit/miss/eviction counters and occupancy of the route oracle.
+    /// Hit/miss counters and occupancy of the route oracle.
     pub fn route_oracle_stats(&self) -> OracleStats {
         self.routes.stats()
     }
@@ -221,38 +201,12 @@ impl Network {
     }
 
     /// Changes the uniform per-link loss rate mid-run (Figure 12 enables
-    /// loss after group creation). Invalidates the per-pair cache by epoch
-    /// bump — O(1), entries refresh lazily on next use.
+    /// loss after group creation) and recomputes the hop-indexed
+    /// round-trip success table.
     pub fn set_per_link_loss(&mut self, p: f64) {
         assert!((0.0..1.0).contains(&p), "loss rate must be in [0,1)");
         self.cfg.per_link_loss = p;
-        self.loss_epoch = self.loss_epoch.wrapping_add(1);
-    }
-
-    /// Cached latency/RTT/success-probability for `from -> to`, refreshed
-    /// if the loss-rate epoch moved.
-    fn cached_route(&mut self, from: ProcId, to: ProcId) -> CachedRoute {
-        let key = (u64::from(from) << 32) | u64::from(to);
-        let epoch = self.loss_epoch;
-        if let Some(c) = self.route_cache.get(&key) {
-            if c.epoch == epoch {
-                return *c;
-            }
-        }
-        let info = self.routes.route(
-            &self.topo,
-            self.attach[from as usize],
-            self.attach[to as usize],
-        );
-        let p_one_way = info.delivery_prob(self.cfg.per_link_loss);
-        let c = CachedRoute {
-            latency: info.latency,
-            rtt: info.latency.saturating_mul(2),
-            p_success: p_one_way * p_one_way,
-            epoch,
-        };
-        self.route_cache.insert(key, c);
-        c
+        self.rt_success = round_trip_success(p);
     }
 
     /// Current per-link loss rate.
@@ -320,7 +274,7 @@ impl fuse_sim::ShardMedium for Network {
         (0..shards)
             .map(|_| Network {
                 topo: self.topo.clone(),
-                routes: RouteOracle::new(self.cfg.route_lru_rows),
+                routes: RouteOracle::new(&self.topo, &self.attach),
                 attach: self.attach.clone(),
                 cfg: self.cfg.clone(),
                 tcp: TcpModel::new(self.cfg.tcp.clone()),
@@ -332,8 +286,7 @@ impl fuse_sim::ShardMedium for Network {
                 // aggregates reproduces the single-shard totals exactly.
                 // Copying the pre-split counts would double-count them.
                 obs: Recorder::new(),
-                route_cache: DetHashMap::default(),
-                loss_epoch: self.loss_epoch,
+                rt_success: self.rt_success.clone(),
             })
             .collect()
     }
@@ -387,6 +340,23 @@ impl fuse_sim::ShardMedium for Network {
     }
 }
 
+/// Round-trip delivery probability per hop count, `0..=MAX_ROUTE_HOPS`:
+/// data over the forward route and the ACK over the reverse route
+/// (symmetric latencies, identical hop count), each surviving with the
+/// route's one-way [`RouteInfo::delivery_prob`].
+fn round_trip_success(per_link_loss: f64) -> Vec<f64> {
+    (0..=MAX_ROUTE_HOPS)
+        .map(|hops| {
+            let route = RouteInfo {
+                latency: SimDuration::ZERO,
+                hops,
+            };
+            let p_one_way = route.delivery_prob(per_link_loss);
+            p_one_way * p_one_way
+        })
+        .collect()
+}
+
 fn normalize(a: ProcId, b: ProcId) -> (ProcId, ProcId) {
     if a <= b {
         (a, b)
@@ -413,11 +383,8 @@ impl Medium for Network {
             class,
             bytes: size as u64,
         });
-        // Per-attempt success (cached per pair): data over the forward
-        // route and the ACK over the reverse route (symmetric latencies,
-        // identical hop count).
-        let route = self.cached_route(from, to);
-        let rtt = route.rtt;
+        let route = self.routes.route(&self.topo, from, to);
+        let rtt = route.latency.saturating_mul(2);
 
         // Administrative blocks and dead peers: TCP retransmits into the
         // void, then the sender sees a broken connection.
@@ -444,7 +411,7 @@ impl Medium for Network {
         // Injected per-pair loss (chaos loss ramps) composes with the
         // route's own loss: data crosses `from -> to`, the ACK crosses
         // `to -> from`, each surviving its direction's injected rate.
-        let mut p_success = route.p_success;
+        let mut p_success = self.rt_success[route.hops as usize];
         if self.fault.has_link_loss() {
             p_success *=
                 (1.0 - self.fault.link_loss(from, to)) * (1.0 - self.fault.link_loss(to, from));
@@ -493,7 +460,7 @@ impl Medium for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::TopologyConfig;
+    use crate::topology::{TopologyConfig, SAME_ROUTER_LATENCY};
     use rand::SeedableRng;
 
     fn small_net(cfg: NetConfig) -> (Network, StdRng) {
@@ -642,17 +609,77 @@ mod tests {
 
     #[test]
     fn route_cache_tracks_loss_rate_changes() {
-        // The per-pair cache must be invalidated when the loss rate moves:
-        // prime it at zero loss, crank loss to near-certain failure, then
-        // drop back to zero — each regime must show its own behavior.
+        // The hop-indexed success table must follow the loss rate: prime it
+        // at zero loss, crank loss to near-certain failure, then drop back
+        // to zero — each regime must show its own behavior.
         let (mut net, mut rng) = small_net(NetConfig::simulator());
+        // Longest route between any two routers of the topology.
+        let all: Vec<RouterId> = (0..net.topology().n_routers() as RouterId).collect();
+        let eager = crate::routes::RouteTable::build(net.topology(), &all);
+        let longest = all
+            .iter()
+            .flat_map(|&a| all.iter().map(move |&b| (a, b)))
+            .map(|(a, b)| eager.route(a, b).hops)
+            .max()
+            .unwrap();
+        assert!(longest >= 2, "degenerate topology");
+        // Bit for bit the one-way delivery probability squared (data +
+        // ACK): any other rounding would change every lossy trace.
+        let check_table = |net: &Network, p: f64| {
+            for hops in 0..=longest {
+                let one_way = RouteInfo {
+                    latency: SimDuration::ZERO,
+                    hops,
+                }
+                .delivery_prob(p);
+                assert_eq!(
+                    net.rt_success[hops as usize].to_bits(),
+                    (one_way * one_way).to_bits(),
+                    "success table stale at {hops} hops, loss {p}"
+                );
+            }
+        };
+        check_table(&net, 0.0);
         for _ in 0..50 {
             assert!(matches!(
                 net.unicast(SimTime::ZERO, &mut rng, 0, 1, 64, "msg"),
                 Verdict::Deliver { .. }
             ));
         }
-        net.set_per_link_loss(0.9);
+        // Fig. 12's path: loss switched on mid-run, at several rates. Each
+        // send must draw its TCP fate with its own route's success: replay
+        // the TCP model and the jitter from a copy of the same RNG stream.
+        let tcp = TcpModel::new(TcpConfig::default());
+        for p in [0.004, 0.016, 0.1, 0.9] {
+            net.set_per_link_loss(p);
+            check_table(&net, p);
+            let info = net.route_info(2, 3);
+            let one_way = info.delivery_prob(p);
+            for seed in 0..100 {
+                let mut replay = StdRng::seed_from_u64(seed);
+                let want = match tcp.attempt(
+                    &mut replay,
+                    info.latency.saturating_mul(2),
+                    one_way * one_way,
+                ) {
+                    TcpOutcome::Delivered { extra_delay } => {
+                        let jitter = replay.gen_range(0..=net.cfg.max_jitter.nanos());
+                        Verdict::Deliver {
+                            at: SimTime::ZERO + info.latency + extra_delay + SimDuration(jitter),
+                        }
+                    }
+                    TcpOutcome::Broken { give_up_after } => Verdict::Break {
+                        sender_notice: SimTime::ZERO + give_up_after,
+                    },
+                };
+                let mut rng = StdRng::seed_from_u64(seed);
+                assert_eq!(
+                    net.unicast(SimTime::ZERO, &mut rng, 2, 3, 64, "msg"),
+                    want,
+                    "loss {p}, seed {seed}"
+                );
+            }
+        }
         let broken = (0..50)
             .filter(|_| {
                 matches!(
@@ -661,8 +688,9 @@ mod tests {
                 )
             })
             .count();
-        assert!(broken > 0, "stale cache: extreme loss produced no breaks");
+        assert!(broken > 0, "stale table: extreme loss produced no breaks");
         net.set_per_link_loss(0.0);
+        check_table(&net, 0.0);
         for _ in 0..50 {
             assert!(matches!(
                 net.unicast(SimTime::ZERO, &mut rng, 0, 1, 64, "msg"),
@@ -671,37 +699,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn routes_are_built_on_demand_not_up_front() {
-        let (mut net, mut rng) = small_net(NetConfig::simulator());
-        assert_eq!(
-            net.route_oracle_stats().resident_rows,
-            0,
-            "construction must not precompute routes"
-        );
-        let info = net.route_info(0, 1);
-        let s = net.route_oracle_stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.resident_rows, 1);
-        // Sends reuse the oracle through the per-pair cache; the same pair
-        // again is a pair-cache hit, not even an oracle query.
-        assert!(matches!(
-            net.unicast(SimTime::ZERO, &mut rng, 0, 1, 64, "msg"),
-            Verdict::Deliver { .. }
-        ));
-        let after_first = net.route_oracle_stats();
-        assert!(matches!(
-            net.unicast(SimTime::ZERO, &mut rng, 0, 1, 64, "msg"),
-            Verdict::Deliver { .. }
-        ));
-        assert_eq!(net.route_oracle_stats(), after_first);
-        // And the oracle row, once resident, serves other destinations as
-        // hits with identical results on repeat.
-        assert_eq!(info, net.route_info(0, 1));
-    }
-
-    #[test]
-    fn oracle_capacity_bounds_route_memory_under_many_sources() {
+    /// A network with more processes than the small topology has access
+    /// routers, so attachments wrap and repeat.
+    fn oversubscribed_net() -> (Network, StdRng) {
         let mut rng = StdRng::seed_from_u64(7);
         let topo_cfg = TopologyConfig {
             n_as: 16,
@@ -710,17 +710,85 @@ mod tests {
             chain_len: (2, 4),
             ..TopologyConfig::default()
         };
-        let cfg = NetConfig {
-            route_lru_rows: 4,
-            ..NetConfig::simulator()
-        };
-        let net = Network::generate(&topo_cfg, 40, cfg, &mut rng);
-        for a in 0..net.n_procs() as ProcId {
-            net.route_info(a, (a + 1) % net.n_procs() as ProcId);
+        let topo = Topology::generate(&topo_cfg, &mut rng);
+        let n = topo.attachable.len() + 24;
+        let attach = topo.sample_attachments(n, &mut rng);
+        (Network::new(topo, attach, NetConfig::simulator()), rng)
+    }
+
+    /// Distinct attachment routers among processes `0..n`.
+    fn distinct_routers(net: &Network, n: usize) -> usize {
+        net.attach[..n].iter().collect::<DetHashSet<_>>().len()
+    }
+
+    #[test]
+    fn one_dijkstra_per_distinct_source_attachment() {
+        let (mut net, mut rng) = oversubscribed_net();
+        let n = net.n_procs() as ProcId;
+        let columns = distinct_routers(&net, n as usize);
+        assert!(columns < n as usize, "processes must share routers");
+        assert_eq!(
+            net.route_oracle_stats().resident_rows,
+            0,
+            "construction must not compute routes"
+        );
+        // Every ordered pair, three times over: the first send out of each
+        // attachment runs the only Dijkstra it will ever need.
+        for _ in 0..3 {
+            for a in 0..n {
+                for b in 0..n {
+                    if a != b {
+                        let _ = net.unicast(SimTime::ZERO, &mut rng, a, b, 64, "msg");
+                    }
+                }
+            }
         }
         let s = net.route_oracle_stats();
-        assert!(s.resident_rows <= 4, "LRU cap violated: {s:?}");
-        assert!(s.evictions > 0, "cap 4 over 40 sources must evict");
+        assert_eq!(s.misses, columns as u64, "one miss per source attachment");
+        assert_eq!(s.resident_rows, columns);
+        let wide_area = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| net.attach[a as usize] != net.attach[b as usize])
+            .count() as u64;
+        assert_eq!(s.hits + s.misses, 3 * wide_area);
+    }
+
+    #[test]
+    fn resident_bytes_are_filled_rows_times_columns() {
+        let (net, _) = oversubscribed_net();
+        let columns = distinct_routers(&net, net.n_procs());
+        // Only the first 10 processes send: their attachments' rows fill,
+        // the rest stay empty and cost nothing.
+        let last = net.n_procs() as ProcId - 1;
+        for a in 0..10 {
+            for b in [0, last / 2, last] {
+                net.route_info(a, b);
+            }
+        }
+        let s = net.route_oracle_stats();
+        assert_eq!(s.resident_rows, distinct_routers(&net, 10));
+        assert_eq!(s.resident_bytes, s.resident_rows * columns * 8);
+        assert!(s.resident_rows < columns);
+    }
+
+    #[test]
+    fn co_located_processes_share_a_column() {
+        let (net, _) = oversubscribed_net();
+        let n = net.n_procs() as ProcId;
+        let (a, b) = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .find(|&(a, b)| net.attach[a as usize] == net.attach[b as usize])
+            .expect("oversubscribed attachments repeat");
+        let lan = net.route_info(a, b);
+        assert_eq!(lan.latency, SAME_ROUTER_LATENCY);
+        assert_eq!(lan.hops, 0);
+        assert_eq!(net.route_info(b, a), lan);
+        assert_eq!(net.route_oracle_stats().misses, 0, "LAN hops need no row");
+        // One row serves both: identical routes everywhere, one Dijkstra.
+        for c in 0..n {
+            assert_eq!(net.route_info(a, c), net.route_info(b, c));
+        }
+        assert_eq!(net.route_oracle_stats().misses, 1);
     }
 
     /// Heal-path regressions: every fault-plane *clear* operation must

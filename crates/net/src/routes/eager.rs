@@ -1,13 +1,13 @@
 //! The preserved eager all-destinations route table.
 //!
-//! This is the pre-PR-4 routing structure: one full `(latency, hops)` row
-//! per attachment router, built up front — O(sources × routers) memory,
-//! which is exactly what ruled it out at Mercator scale (§7.1's ~100k
-//! routers). The production path is the demand-driven
-//! [`RouteOracle`](crate::RouteOracle); this table survives as the
-//! reference the oracle is held bit-identical to (equivalence tests in
-//! `tests/route_oracle.rs`) and as the eager baseline in the
-//! `route_oracle` bench section.
+//! This is the pre-PR-4 routing structure: one full `(hops, latency)` row
+//! per attachment router over *every* router, built up front —
+//! O(sources × routers) memory, which is exactly what ruled it out at
+//! Mercator scale (§7.1's ~100k routers). The production path is the
+//! attachment-indexed [`RouteOracle`](crate::RouteOracle); this table
+//! survives as the reference the oracle is held bit-identical to
+//! (equivalence tests in `tests/route_oracle.rs`) and as the eager
+//! baseline of the `route_oracle` bench section's memory comparison.
 
 use fuse_util::DetHashMap;
 
@@ -16,8 +16,8 @@ use crate::topology::{RouterId, Topology, SAME_ROUTER_LATENCY};
 
 /// All-destination shortest-path tables from each attachment router.
 pub struct RouteTable {
-    /// Per source router: `(latency_ns, hops)` for every destination router.
-    tables: DetHashMap<RouterId, Vec<(u64, u32)>>,
+    /// Per source router: `(hops, latency_ns)` for every destination router.
+    tables: DetHashMap<RouterId, Vec<(u32, u64)>>,
 }
 
 impl RouteTable {
@@ -48,7 +48,7 @@ impl RouteTable {
             .tables
             .get(&src)
             .expect("route requested from an unbuilt source");
-        let (lat, hops) = t[dst as usize];
+        let (hops, lat) = t[dst as usize];
         assert_ne!(lat, u64::MAX, "destination unreachable");
         RouteInfo {
             latency: fuse_sim::SimDuration(lat),

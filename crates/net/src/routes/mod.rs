@@ -1,10 +1,10 @@
-//! Routes over the router graph.
+//! Routes between attached processes.
 //!
 //! Routing in the emulated Internet is static (ModelNet precomputes routes
-//! the same way) and **demand-driven**: [`RouteOracle`] runs one
-//! lexicographic shortest-path computation per *attachment* router the
-//! first time a route out of it is asked for, and keeps the resulting row
-//! in a bounded LRU of bit-packed `(latency, hops)` words. The pre-PR-4
+//! the same way). [`RouteOracle`] is an **attachment-indexed route
+//! matrix**: one column per distinct attachment router, one row per source
+//! column, each row filled by a single lexicographic shortest-path
+//! computation the first time a process attached there sends. The pre-PR-4
 //! eager all-destinations table survives as [`eager::RouteTable`] and is
 //! held bit-identical to the oracle by equivalence tests over random
 //! topologies (`tests/route_oracle.rs`).
@@ -20,11 +20,11 @@ pub mod eager;
 
 pub use eager::RouteTable;
 
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use fuse_sim::SimDuration;
+use fuse_sim::{ProcId, SimDuration};
 use fuse_util::DetHashMap;
 
 use crate::topology::{RouterId, Topology, SAME_ROUTER_LATENCY};
@@ -52,14 +52,14 @@ impl RouteInfo {
     }
 }
 
-/// Shortest-path row from `src`: `(latency_ns, hops)` for every destination
-/// router, `(u64::MAX, u32::MAX)` when unreachable.
+/// Shortest-path row from `src`: `(hops, latency_ns)` for every destination
+/// router, `(u32::MAX, u64::MAX)` when unreachable.
 ///
 /// Lexicographic Dijkstra on `(hops, latency)`: minimum hop count, ties
 /// broken by total latency. Deterministic for a fixed topology — both the
 /// eager table and the oracle call this one function, which is what makes
 /// their equivalence structural rather than coincidental.
-pub(crate) fn dijkstra(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
+pub(crate) fn dijkstra(topo: &Topology, src: RouterId) -> Vec<(u32, u64)> {
     let n = topo.n_routers();
     let mut best: Vec<(u32, u64)> = vec![(u32::MAX, u64::MAX); n];
     let mut heap = BinaryHeap::new();
@@ -78,7 +78,7 @@ pub(crate) fn dijkstra(topo: &Topology, src: RouterId) -> Vec<(u64, u32)> {
             }
         }
     }
-    best.into_iter().map(|(h, l)| (l, h)).collect()
+    best
 }
 
 // ---------------------------------------------------------------------------
@@ -93,16 +93,20 @@ const HOP_SHIFT: u32 = 64 - HOP_BITS;
 const LAT_MASK: u64 = (1 << HOP_SHIFT) - 1;
 /// Sentinel for an unreachable destination.
 const UNREACHABLE: u64 = u64::MAX;
+/// Longest route, in hops, a packed word can hold (the all-ones hop field
+/// is reserved for [`UNREACHABLE`]). Hop-indexed tables sized
+/// `MAX_ROUTE_HOPS + 1` cover every route the oracle can return.
+pub(crate) const MAX_ROUTE_HOPS: u32 = (1 << HOP_BITS) - 2;
 
 /// Packs one Dijkstra entry into a single word: hops in the top 10 bits,
 /// latency nanoseconds in the low 54. Halves a resident row relative to the
-/// eager table's `(u64, u32)` (16 bytes with padding).
+/// eager table's `(u32, u64)` (16 bytes with padding).
 fn pack(lat: u64, hops: u32) -> u64 {
     if lat == u64::MAX {
         return UNREACHABLE;
     }
     assert!(
-        lat <= LAT_MASK && u64::from(hops) < (1 << HOP_BITS) - 1,
+        lat <= LAT_MASK && hops <= MAX_ROUTE_HOPS,
         "route exceeds packed capacity: {lat} ns, {hops} hops"
     );
     (u64::from(hops) << HOP_SHIFT) | lat
@@ -114,143 +118,130 @@ fn unpack(w: u64) -> (u64, u32) {
 }
 
 // ---------------------------------------------------------------------------
-// The demand-driven oracle.
-
-/// Sentinel for "no slot" in the intrusive LRU list.
-const NIL: u32 = u32::MAX;
-
-/// One resident row of the oracle.
-struct Slot {
-    /// Source router this row belongs to.
-    src: RouterId,
-    /// Packed `(latency, hops)` word per destination router.
-    row: Vec<u64>,
-    /// Intrusive LRU list: previous (more recently used) slot.
-    prev: u32,
-    /// Intrusive LRU list: next (less recently used) slot.
-    next: u32,
-}
+// The attachment-indexed route matrix.
 
 /// Counters and occupancy of a [`RouteOracle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleStats {
-    /// Queries served from a resident row.
+    /// Queries served from a filled row.
     pub hits: u64,
-    /// Queries that had to run Dijkstra (first touch or re-entry after
-    /// eviction).
+    /// Queries that filled their source's row, i.e. Dijkstra runs.
     pub misses: u64,
-    /// Rows evicted to stay within the capacity.
-    pub evictions: u64,
-    /// Rows currently resident.
+    /// Rows filled so far (at most one per column).
     pub resident_rows: usize,
-    /// Bytes held by the resident rows and their slot bookkeeping (the
-    /// dominant memory term; excludes the small source-index map).
+    /// Bytes held by the filled rows: `resident_rows × columns × 8`.
     pub resident_bytes: usize,
 }
 
-/// Demand-driven route oracle: per-source shortest paths computed lazily on
-/// first use, held in a bounded LRU of bit-packed rows.
+/// Route matrix over a network's attached processes.
 ///
-/// This is what bounds route memory at Mercator scale (§7.1's ~100k
-/// routers): resident memory is `capacity × n_routers × 8` bytes no matter
-/// how many distinct sources are queried, where the eager
-/// [`eager::RouteTable`] stores `sources × n_routers × 16` bytes up front.
-/// A hit is a hash lookup plus an LRU splice — no allocation; a miss runs
-/// one Dijkstra over the router graph (~milliseconds at 100k routers,
-/// microseconds at the default topology).
+/// Built from the attachment list (`attach[p]` is process `p`'s router):
+/// every distinct attachment router becomes one dense **column**, and
+/// co-located processes share it. A source column's **row** — one packed
+/// `(hops, latency)` word per column — is filled on the first query out of
+/// it by one Dijkstra over the router graph, projected onto the columns,
+/// and never evicted. A query is then two column lookups and one row load:
+/// no hashing and no allocation.
+///
+/// Resident memory is `filled rows × columns × 8` bytes, at most
+/// `columns² × 8`: 1.28 MB at 400 attachments, 8 MB at 1,000 — what the
+/// matrix is sized for. It does not depend on the router count, so the
+/// ~100k-router Mercator preset (§7.1) costs the same per row as the
+/// default topology; only a Dijkstra gets slower.
 ///
 /// The oracle does not own the topology: callers pass `&Topology` to
 /// [`route`](RouteOracle::route), so one topology can back the network, the
-/// experiments and ad-hoc queries without reference cycles. Cached rows are
-/// only valid for the topology they were computed from — the oracle
-/// records the first topology's [`Topology::fingerprint`] and panics if a
-/// later query passes a different graph (even one with coincidentally
-/// equal counts), rather than silently serving stale routes. Interior
-/// mutability (a `RefCell`) keeps
-/// the query API `&self`, matching the eager table it replaced; the
+/// experiments and ad-hoc queries without reference cycles. Rows are only
+/// valid for the topology the columns were drawn from — the oracle records
+/// its [`Topology::fingerprint`] and panics if a query passes a different
+/// graph (even one with coincidentally equal counts), rather than silently
+/// serving stale routes. Interior mutability (`OnceCell` rows, `Cell`
+/// counters) keeps the query API `&self`, matching the eager table; the
 /// simulation is single-threaded by design.
 ///
-/// Eviction order depends only on the query order, so for a fixed topology
-/// and query sequence the oracle is fully deterministic — including its
-/// [`stats`](RouteOracle::stats).
+/// Which rows are filled depends only on the query order, so for a fixed
+/// topology and query sequence the oracle is fully deterministic —
+/// including its [`stats`](RouteOracle::stats).
 pub struct RouteOracle {
-    inner: RefCell<Inner>,
-}
-
-struct Inner {
-    cap: usize,
-    /// Source router → slot index.
-    map: DetHashMap<RouterId, u32>,
-    slots: Vec<Slot>,
-    /// Most recently used slot.
-    head: u32,
-    /// Least recently used slot (the eviction victim).
-    tail: u32,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    /// `(n_routers, fingerprint)` of the first topology queried; guards
-    /// against reusing cached rows across topologies — the structural
-    /// fingerprint catches even same-sized graphs from different seeds.
-    fp: Option<(usize, u64)>,
+    /// Process → column.
+    col_of: Vec<u32>,
+    /// Column → attachment router.
+    routers: Vec<RouterId>,
+    /// Row per source column: a packed word per destination column.
+    rows: Vec<OnceCell<Box<[u64]>>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    /// `(n_routers, fingerprint)` of the topology the columns were drawn
+    /// from; the structural fingerprint catches even same-sized graphs
+    /// from different seeds.
+    fp: (usize, u64),
 }
 
 impl RouteOracle {
-    /// Creates an oracle holding at most `capacity` source rows (clamped to
-    /// at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        RouteOracle {
-            inner: RefCell::new(Inner {
-                cap,
-                map: DetHashMap::default(),
-                slots: Vec::new(),
-                head: NIL,
-                tail: NIL,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                fp: None,
-            }),
-        }
-    }
-
-    /// Maximum number of resident source rows.
-    pub fn capacity(&self) -> usize {
-        self.inner.borrow().cap
-    }
-
-    /// Route summary from `src` to `dst`, computing and caching the
-    /// source's row on demand.
+    /// Creates an empty matrix over `attach`, where process `p` is attached
+    /// to router `attach[p]`. No route is computed here.
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is unreachable from `src` (the topology generator
-    /// produces connected graphs), if either id is out of range for
-    /// `topo`, or if `topo` is not the topology this oracle's cached rows
-    /// were computed from (checked via [`Topology::fingerprint`], so even
-    /// a same-sized graph from a different seed is refused rather than
-    /// served stale rows). All three checks apply to same-router queries
-    /// too, even though those never touch the LRU. Unlike the eager table
-    /// there is no "unbuilt source" panic: a missing row — whether never
-    /// queried or evicted from the LRU — is recomputed transparently, at
-    /// the cost of one Dijkstra (whose scratch vectors allocate per miss;
-    /// the compute dominates them by orders of magnitude, and the LRU-hit
-    /// path stays allocation-free).
-    pub fn route(&self, topo: &Topology, src: RouterId, dst: RouterId) -> RouteInfo {
-        assert!(
-            (src as usize) < topo.n_routers() && (dst as usize) < topo.n_routers(),
-            "router id out of range"
-        );
-        let mut inner = self.inner.borrow_mut();
-        let fp = (topo.n_routers(), topo.fingerprint());
-        match inner.fp {
-            None => inner.fp = Some(fp),
-            Some(seen) => assert_eq!(
-                seen, fp,
-                "RouteOracle queried with a different topology than its cached rows"
-            ),
+    /// Panics if an attachment router is out of range for `topo`.
+    pub fn new(topo: &Topology, attach: &[RouterId]) -> Self {
+        let mut index: DetHashMap<RouterId, u32> = DetHashMap::default();
+        let mut routers = Vec::new();
+        let col_of = attach
+            .iter()
+            .map(|&r| {
+                assert!((r as usize) < topo.n_routers(), "router id out of range");
+                *index.entry(r).or_insert_with(|| {
+                    routers.push(r);
+                    (routers.len() - 1) as u32
+                })
+            })
+            .collect();
+        RouteOracle {
+            col_of,
+            rows: (0..routers.len()).map(|_| OnceCell::new()).collect(),
+            routers,
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+            fp: (topo.n_routers(), topo.fingerprint()),
         }
+    }
+
+    /// Number of columns: distinct attachment routers.
+    pub fn columns(&self) -> usize {
+        self.routers.len()
+    }
+
+    /// Route summary from process `a` to process `b`, filling `a`'s row on
+    /// its first query.
+    ///
+    /// Co-located processes (same column) get a LAN hop of
+    /// [`SAME_ROUTER_LATENCY`] without touching the matrix. A first query
+    /// out of a column runs one Dijkstra, whose scratch vectors allocate;
+    /// every later query out of it is allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either process is out of range for the attachment list,
+    /// if `b` is unreachable from `a` (the topology generator produces
+    /// connected graphs), or if `topo` is not the topology the columns
+    /// were drawn from (checked via [`Topology::fingerprint`], so even a
+    /// same-sized graph from a different seed is refused rather than
+    /// served stale rows). All three checks apply to co-located queries
+    /// too.
+    pub fn route(&self, topo: &Topology, a: ProcId, b: ProcId) -> RouteInfo {
+        assert_eq!(
+            (topo.n_routers(), topo.fingerprint()),
+            self.fp,
+            "RouteOracle queried with a different topology than its columns were drawn from"
+        );
+        let col = |p: ProcId| {
+            *self
+                .col_of
+                .get(p as usize)
+                .expect("process id out of range")
+        };
+        let (src, dst) = (col(a), col(b));
         if src == dst {
             // Same attachment router: a LAN hop, not a wide-area route.
             return RouteInfo {
@@ -258,18 +249,18 @@ impl RouteOracle {
                 hops: 0,
             };
         }
-        let slot = match inner.map.get(&src).copied() {
-            Some(i) => {
-                inner.hits += 1;
-                inner.touch(i);
-                i
+        let cell = &self.rows[src as usize];
+        let row = match cell.get() {
+            Some(row) => {
+                self.hits.set(self.hits.get() + 1);
+                row
             }
             None => {
-                inner.misses += 1;
-                inner.admit(topo, src)
+                self.misses.set(self.misses.get() + 1);
+                cell.get_or_init(|| self.project(topo, src))
             }
         };
-        let w = inner.slots[slot as usize].row[dst as usize];
+        let w = row[dst as usize];
         assert_ne!(w, UNREACHABLE, "destination unreachable");
         let (lat, hops) = unpack(w);
         RouteInfo {
@@ -278,104 +269,27 @@ impl RouteOracle {
         }
     }
 
-    /// Whether a row for `src` is currently resident (test hook; does not
-    /// count as a hit or disturb the LRU order).
-    pub fn row_resident(&self, src: RouterId) -> bool {
-        self.inner.borrow().map.contains_key(&src)
+    /// One Dijkstra from column `src`'s router, projected onto the columns.
+    fn project(&self, topo: &Topology, src: u32) -> Box<[u64]> {
+        let dist = dijkstra(topo, self.routers[src as usize]);
+        self.routers
+            .iter()
+            .map(|&r| {
+                let (hops, lat) = dist[r as usize];
+                pack(lat, hops)
+            })
+            .collect()
     }
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> OracleStats {
-        let inner = self.inner.borrow();
-        let resident_bytes = inner
-            .slots
-            .iter()
-            .map(|s| s.row.capacity() * std::mem::size_of::<u64>())
-            .sum::<usize>()
-            + inner.slots.capacity() * std::mem::size_of::<Slot>();
+        let resident_rows = self.rows.iter().filter(|r| r.get().is_some()).count();
         OracleStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            resident_rows: inner.map.len(),
-            resident_bytes,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            resident_rows,
+            resident_bytes: resident_rows * self.columns() * std::mem::size_of::<u64>(),
         }
-    }
-}
-
-impl Inner {
-    /// Unlinks slot `i` from the LRU list.
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = &self.slots[i as usize];
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    /// Pushes slot `i` to the front (most recently used).
-    fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
-        {
-            let s = &mut self.slots[i as usize];
-            s.prev = NIL;
-            s.next = old_head;
-        }
-        if old_head != NIL {
-            self.slots[old_head as usize].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    /// Marks slot `i` most recently used.
-    fn touch(&mut self, i: u32) {
-        if self.head == i {
-            return;
-        }
-        self.unlink(i);
-        self.push_front(i);
-    }
-
-    /// Builds the row for `src` into a fresh or recycled slot and makes it
-    /// most recently used; returns the slot index.
-    fn admit(&mut self, topo: &Topology, src: RouterId) -> u32 {
-        let i = if self.slots.len() < self.cap {
-            let i = self.slots.len() as u32;
-            self.slots.push(Slot {
-                src,
-                row: Vec::new(),
-                prev: NIL,
-                next: NIL,
-            });
-            i
-        } else {
-            // Evict the least recently used row, recycling its allocation.
-            let victim = self.tail;
-            self.unlink(victim);
-            let old_src = self.slots[victim as usize].src;
-            self.map.remove(&old_src);
-            self.evictions += 1;
-            self.slots[victim as usize].src = src;
-            victim
-        };
-        let row = &mut self.slots[i as usize].row;
-        row.clear();
-        row.extend(dijkstra(topo, src).into_iter().map(|(l, h)| pack(l, h)));
-        self.map.insert(src, i);
-        self.push_front(i);
-        i
     }
 }
 
@@ -397,9 +311,21 @@ mod tests {
         Topology::generate(&cfg, &mut StdRng::seed_from_u64(11))
     }
 
+    /// An oracle whose process `p` sits on router `p`: every router is its
+    /// own column.
+    fn every_router(topo: &Topology) -> RouteOracle {
+        let all: Vec<RouterId> = (0..topo.n_routers() as RouterId).collect();
+        RouteOracle::new(topo, &all)
+    }
+
     #[test]
     fn pack_roundtrips_and_flags_unreachable() {
-        for &(lat, hops) in &[(0u64, 0u32), (1, 1), (123_456_789_000, 43), (LAT_MASK, 60)] {
+        for &(lat, hops) in &[
+            (0u64, 0u32),
+            (1, 1),
+            (123_456_789_000, 43),
+            (LAT_MASK, MAX_ROUTE_HOPS),
+        ] {
             assert_eq!(unpack(pack(lat, hops)), (lat, hops));
         }
         assert_eq!(pack(u64::MAX, u32::MAX), UNREACHABLE);
@@ -414,18 +340,18 @@ mod tests {
     #[test]
     fn same_router_is_lan_latency() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(4);
+        let oracle = every_router(&topo);
         let r = oracle.route(&topo, 7, 7);
         assert_eq!(r.hops, 0);
         assert_eq!(r.latency, SAME_ROUTER_LATENCY);
-        // Served without building any row.
+        // Served without filling any row.
         assert_eq!(oracle.stats().resident_rows, 0);
     }
 
     #[test]
     fn routes_are_symmetric_in_latency() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(8);
+        let oracle = every_router(&topo);
         for a in [0u32, 5, 13, 21] {
             for b in [3u32, 9, 30] {
                 if a == b {
@@ -442,7 +368,7 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(4);
+        let oracle = every_router(&topo);
         oracle.route(&topo, 0, 1);
         oracle.route(&topo, 0, 2);
         oracle.route(&topo, 1, 2);
@@ -450,44 +376,25 @@ mod tests {
         assert_eq!(s.misses, 2, "two distinct sources");
         assert_eq!(s.hits, 1, "second query from source 0");
         assert_eq!(s.resident_rows, 2);
-        assert_eq!(s.evictions, 0);
     }
 
     #[test]
     fn capacity_bounds_resident_rows() {
+        // Ten processes over three routers: three columns, so at most
+        // three rows however many processes send, each `columns` words.
         let topo = small_topo();
-        let oracle = RouteOracle::new(2);
-        for src in 0..6u32 {
-            oracle.route(&topo, src, (src + 1) % topo.n_routers() as u32);
+        let attach: Vec<RouterId> = (0..10).map(|p| [4, 9, 17][p % 3]).collect();
+        let oracle = RouteOracle::new(&topo, &attach);
+        assert_eq!(oracle.columns(), 3);
+        for a in 0..10 {
+            for b in 0..10 {
+                oracle.route(&topo, a, b);
+            }
         }
         let s = oracle.stats();
-        assert_eq!(s.resident_rows, 2);
-        assert_eq!(s.evictions, 4);
-        let row_bytes = topo.n_routers() * std::mem::size_of::<u64>();
-        assert!(
-            s.resident_bytes >= 2 * row_bytes,
-            "rows must be accounted: {} < {}",
-            s.resident_bytes,
-            2 * row_bytes
-        );
-        assert!(
-            s.resident_bytes <= 2 * row_bytes + 4 * std::mem::size_of::<Slot>(),
-            "resident bytes unbounded: {}",
-            s.resident_bytes
-        );
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used_source() {
-        let topo = small_topo();
-        let oracle = RouteOracle::new(2);
-        oracle.route(&topo, 0, 5); // rows: [0]
-        oracle.route(&topo, 1, 5); // rows: [1, 0]
-        oracle.route(&topo, 0, 6); // touch 0 -> rows: [0, 1]
-        oracle.route(&topo, 2, 5); // evicts 1 -> rows: [2, 0]
-        assert!(oracle.row_resident(0));
-        assert!(!oracle.row_resident(1));
-        assert!(oracle.row_resident(2));
+        assert_eq!(s.resident_rows, 3);
+        assert_eq!(s.misses, 3, "one Dijkstra per column");
+        assert_eq!(s.resident_bytes, 3 * 3 * std::mem::size_of::<u64>());
     }
 
     #[test]
@@ -504,16 +411,16 @@ mod tests {
             },
             &mut StdRng::seed_from_u64(5),
         );
-        let oracle = RouteOracle::new(4);
-        oracle.route(&topo_a, 0, 9);
-        oracle.route(&topo_b, 0, 9);
+        let oracle = RouteOracle::new(&topo_a, &[0, 9]);
+        oracle.route(&topo_a, 0, 1);
+        oracle.route(&topo_b, 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "different topology")]
     fn same_config_different_seed_is_still_a_different_topology() {
         // Same TopologyConfig, different seed: counts can coincide, but
-        // the structural fingerprint must still refuse the cached rows.
+        // the structural fingerprint must still refuse the filled rows.
         let cfg = TopologyConfig {
             n_as: 8,
             core_per_as: 4,
@@ -524,25 +431,16 @@ mod tests {
         let topo_a = Topology::generate(&cfg, &mut StdRng::seed_from_u64(1));
         let topo_b = Topology::generate(&cfg, &mut StdRng::seed_from_u64(2));
         assert_eq!(topo_a.n_routers(), topo_b.n_routers());
-        let oracle = RouteOracle::new(4);
-        oracle.route(&topo_a, 0, 9);
-        oracle.route(&topo_b, 0, 9);
+        let oracle = RouteOracle::new(&topo_a, &[0, 9]);
+        oracle.route(&topo_a, 0, 1);
+        oracle.route(&topo_b, 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn same_router_query_still_checks_id_range() {
         let topo = small_topo();
-        let oracle = RouteOracle::new(4);
+        let oracle = RouteOracle::new(&topo, &[3, 3]);
         oracle.route(&topo, 50_000, 50_000);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped() {
-        let topo = small_topo();
-        let oracle = RouteOracle::new(0);
-        assert_eq!(oracle.capacity(), 1);
-        let r = oracle.route(&topo, 0, 9);
-        assert!(r.hops >= 1);
     }
 }

@@ -38,8 +38,8 @@ use fuse_sim::SimDuration;
 /// — below the per-hop latency of every generated LAN link
 /// ([`TopologyConfig::lan_latency_us`] defaults to 300–1000 µs) but not
 /// zero, so events between co-located nodes still order realistically.
-/// Both the demand-driven [`crate::RouteOracle`] and the preserved eager
-/// [`crate::RouteTable`] return it for same-router queries.
+/// Both the [`crate::RouteOracle`] (for co-located processes) and the
+/// preserved eager [`crate::RouteTable`] return it for same-router queries.
 pub const SAME_ROUTER_LATENCY: SimDuration = SimDuration::from_micros(100);
 
 /// Index of a router in the topology.
@@ -127,7 +127,7 @@ impl TopologyConfig {
     /// diameter.
     ///
     /// Building the eager all-destinations table here costs ~1.6 MB *per
-    /// source* (100k routers × 16 bytes); the demand-driven
+    /// source* (100k routers × 16 bytes); the attachment-indexed
     /// [`crate::RouteOracle`] is how this preset is meant to be routed —
     /// see the `#[ignore]`d Mercator smoke test in `tests/route_oracle.rs`
     /// and the `route_oracle.mercator` bench section.
@@ -322,7 +322,7 @@ impl Topology {
     /// probability — even when router and link counts coincide (e.g. the
     /// same config generated from a different seed). O(1) to read: the
     /// [`crate::RouteOracle`] compares it on every query to refuse serving
-    /// cached rows for the wrong graph.
+    /// filled rows for the wrong graph.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -330,8 +330,8 @@ impl Topology {
     /// Smallest one-way link latency in the graph — a universal lower
     /// bound on the latency of any route between *distinct* routers, and
     /// therefore a valid (if loose) conservative-lookahead bound.
-    /// Precomputed at generation so shards never touch the route oracle's
-    /// `RefCell` to derive lookahead.
+    /// Precomputed at generation so shards never run a route query to
+    /// derive lookahead.
     pub fn min_link_latency(&self) -> SimDuration {
         self.min_link_latency
     }
